@@ -8,18 +8,15 @@
 //! market/longitudinal/churn tables from a [`StoreReader`] without the
 //! original observations.
 //!
-//! Each query has two implementations. The `*_merged` variants walk
-//! the epoch's delta layers row by row — the only option for
-//! `mx-store/1` files, and the reference semantics. The public entry
-//! points dispatch on [`StoreReader::has_indexes`]: against a
-//! `mx-store/2` file they answer from the index footer instead
-//! (rollup + summary for market share, the per-row digest for
-//! self-hosted counts and churn, postings lists for
-//! [`domains_of_provider`]) and skip the merge entirely. Both paths
-//! accumulate weights in the same dotted-name byte order as the
-//! in-memory analyses, so all three agree — bit-for-bit on every
-//! `f64` (`tests/store_gate.rs` enforces this across seeds and thread
-//! counts).
+//! The entry points answer from the index footer (rollup + summary
+//! for market share, the per-row digest for self-hosted counts and
+//! churn, postings lists for [`domains_of_provider`]) without merging
+//! the epoch's delta layers. The `*_merged` variants walk those layers
+//! row by row instead: they are the reference oracles the index path
+//! is gated against. Both paths accumulate weights in the same
+//! dotted-name byte order as the in-memory analyses, so all three
+//! agree — bit-for-bit on every `f64` (`tests/store_gate.rs` enforces
+//! this across seeds and thread counts).
 
 use std::collections::{HashMap, HashSet};
 
@@ -60,33 +57,6 @@ pub fn write_study_store(
     Ok(writer.finish())
 }
 
-/// Like [`write_study_store`], but emitting the legacy `mx-store/1`
-/// format (no index footer). Exists for compatibility fixtures and for
-/// benchmarking the merge paths against a file with identical epoch
-/// layers; new code should use [`write_study_store`].
-pub fn write_study_store_v1(
-    study: &Study,
-    dataset: Dataset,
-    pipeline: &Pipeline,
-    companies: &CompanyMap,
-) -> Result<Vec<u8>, StoreError> {
-    let mut writer = StoreWriter::new();
-    for k in 0..mx_corpus::SNAPSHOT_DATES.len() {
-        let world = study.world_at(k);
-        let data = observe::observe_world(&world);
-        let Some(obs) = data.dataset(dataset) else {
-            continue; // .gov before June 2018
-        };
-        let result = pipeline.run(obs);
-        writer.add_epoch(
-            &world.date.ym_label(),
-            result_rows(&result, companies),
-            &obs.acquisition,
-        )?;
-    }
-    Ok(writer.finish_v1())
-}
-
 /// Store persistence as a method on [`Study`].
 pub trait StudyStoreExt {
     /// Serialize this study's `dataset` snapshots under `pipeline`;
@@ -121,23 +91,34 @@ fn company_or_provider<'r>(share: &mx_store::Share<'r>) -> &'r str {
 /// every `f64` bit — to `market::market_share(result, companies,
 /// None)` over the in-memory result the epoch was written from.
 ///
-/// Answered from the v2 rollup + summary sections when the file has
-/// them ([`StoreReader::has_indexes`]); falls back to
-/// [`market_share_merged`] on `mx-store/1` files.
+/// Answered off the rollup table: the per-credit weight sums were
+/// accumulated at write time in the same sorted-row walk the merge
+/// path replays, so the `f64`s match bit for bit; only the final sort
+/// happens here.
 pub fn market_share_at(
     reader: &StoreReader<'_>,
     epoch: usize,
 ) -> Result<MarketShare, StoreError> {
-    if reader.has_indexes() {
-        market_share_indexed(reader, epoch)
-    } else {
-        market_share_merged(reader, epoch)
-    }
+    let total = usize::try_from(reader.summary_total_rows(epoch)?).unwrap_or(usize::MAX);
+    let mut rows: Vec<MarketShareRow> = Vec::new();
+    reader.for_each_rollup(epoch, |credit, weight| {
+        rows.push(MarketShareRow {
+            company: credit.to_string(),
+            weight,
+            share: weight / total.max(1) as f64,
+        });
+        Ok(())
+    })?;
+    rows.sort_by(|a, b| b.weight.total_cmp(&a.weight).then(a.company.cmp(&b.company)));
+    Ok(MarketShare {
+        rows,
+        total_domains: total,
+    })
 }
 
 /// [`market_share_at`] via the merge path: walk every resolved row of
-/// the epoch and accumulate credited weights. Works on any store
-/// version; the reference the v2 index path is gated against.
+/// the epoch and accumulate credited weights. The reference oracle the
+/// index path is gated against.
 pub fn market_share_merged(
     reader: &StoreReader<'_>,
     epoch: usize,
@@ -168,60 +149,28 @@ pub fn market_share_merged(
     })
 }
 
-/// [`market_share_at`] off the v2 rollup table: the per-credit weight
-/// sums were accumulated at write time in the same sorted-row walk the
-/// merge path replays, so the `f64`s match bit for bit; only the final
-/// sort happens here.
-fn market_share_indexed(
-    reader: &StoreReader<'_>,
-    epoch: usize,
-) -> Result<MarketShare, StoreError> {
-    let total = usize::try_from(reader.summary_total_rows(epoch)?).unwrap_or(usize::MAX);
-    let mut rows: Vec<MarketShareRow> = Vec::new();
-    reader.for_each_rollup(epoch, |credit, weight| {
-        rows.push(MarketShareRow {
-            company: credit.to_string(),
-            weight,
-            share: weight / total.max(1) as f64,
-        });
-        Ok(())
-    })?;
-    rows.sort_by(|a, b| b.weight.total_cmp(&a.weight).then(a.company.cmp(&b.company)));
-    Ok(MarketShare {
-        rows,
-        total_domains: total,
-    })
-}
-
 /// Count of self-hosted domains at one stored epoch (provider ID equals
 /// the domain's registered domain and the domain answers SMTP). Equal
 /// to `market::self_hosted_count` over the source result.
 ///
-/// On v2 files this counts the digest's precomputed SMTP+self-hosted
-/// bits (the writer ran the PSL check at encode time with the builtin
-/// list, the same one every analysis path uses) and `psl` goes unused;
-/// v1 files fall back to [`self_hosted_merged`].
+/// Counts the digest's precomputed SMTP+self-hosted bits: the writer
+/// ran the PSL check at encode time with the builtin list, the same one
+/// every analysis path uses, so `_psl` goes unused. It keeps the
+/// signature of [`self_hosted_merged`].
 pub fn self_hosted_at(
     reader: &StoreReader<'_>,
     epoch: usize,
-    psl: &PublicSuffixList,
+    _psl: &PublicSuffixList,
 ) -> Result<usize, StoreError> {
-    if reader.has_indexes() {
-        let mut count = 0usize;
-        for d in reader.digest_rows(epoch)? {
-            if d.has_smtp && d.self_hosted {
-                count += 1;
-            }
-        }
-        Ok(count)
-    } else {
-        self_hosted_merged(reader, epoch, psl)
-    }
+    Ok(reader
+        .digest_rows(epoch)?
+        .filter(|d| d.has_smtp && d.self_hosted)
+        .count())
 }
 
 /// [`self_hosted_at`] via the merge path: materialize each row's name
-/// and re-run the PSL registered-domain check. Works on any store
-/// version.
+/// and re-run the PSL registered-domain check. The reference oracle
+/// for [`self_hosted_at`].
 pub fn self_hosted_merged(
     reader: &StoreReader<'_>,
     epoch: usize,
@@ -305,29 +254,16 @@ pub fn series_from_store(
 
 /// The top-100 company set (by credited weight, excluding the big
 /// three) at one stored epoch. Equal to `churn::top100_set` over the
-/// source result.
+/// source result. Read off the rollup table.
 pub fn top100_at(
     reader: &StoreReader<'_>,
     epoch: usize,
 ) -> Result<HashSet<String>, StoreError> {
     let mut rows: Vec<(String, f64)> = Vec::new();
-    if reader.has_indexes() {
-        reader.for_each_rollup(epoch, |credit, weight| {
-            rows.push((credit.to_string(), weight));
-            Ok(())
-        })?;
-    } else {
-        let mut weights: HashMap<String, f64> = HashMap::new();
-        reader.for_each_row(epoch, |_name, row| {
-            for s in row.shares() {
-                *weights
-                    .entry(company_or_provider(&s).to_string())
-                    .or_insert(0.0) += s.weight;
-            }
-            Ok(())
-        })?;
-        rows.extend(weights); // re-sorted below, hash order never leaks
-    }
+    reader.for_each_rollup(epoch, |credit, weight| {
+        rows.push((credit.to_string(), weight));
+        Ok(())
+    })?;
     rows.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     Ok(rows
         .iter()
@@ -366,7 +302,7 @@ pub fn classify_row(
     }
 }
 
-/// Classify one v2 digest record into its Figure 7 category; `None`
+/// Classify one digest record into its Figure 7 category; `None`
 /// means the domain is absent at the epoch. Mirrors [`classify_row`]
 /// decision for decision: the digest's credit is `None` exactly for
 /// share-less rows, its self-hosted bit is the write-time PSL check,
@@ -400,19 +336,15 @@ fn classify_digest(row: Option<&DigestRow<'_>>, top100: &HashSet<String>) -> Chu
 /// assignment). Equal to `churn::churn_matrix` over the source
 /// results.
 ///
-/// On v2 files this is a lockstep walk over the two epochs' digest
-/// sections — no layer merge, no per-name point lookups, no name
-/// materialization (digests share the global dictionary's doc ids, so
-/// equal doc means equal domain). v1 files fall back to
-/// [`churn_from_store_merged`].
+/// A lockstep walk over the two epochs' digest sections — no layer
+/// merge, no per-name point lookups, no name materialization (digests
+/// share the global dictionary's doc ids, so equal doc means equal
+/// domain).
 pub fn churn_from_store(
     reader: &StoreReader<'_>,
     from: usize,
     to: usize,
 ) -> Result<ChurnMatrix, StoreError> {
-    if !reader.has_indexes() {
-        return churn_from_store_merged(reader, from, to);
-    }
     let top100 = top100_at(reader, from)?;
     let mut m = ChurnMatrix::default();
     let mut bi = reader.digest_rows(to)?;
@@ -431,8 +363,8 @@ pub fn churn_from_store(
 }
 
 /// [`churn_from_store`] via the merge path: walk `from`'s resolved
-/// rows and point-look-up each name at `to`. Works on any store
-/// version; the reference the digest path is gated against.
+/// rows and point-look-up each name at `to`. The reference oracle the
+/// digest path is gated against.
 pub fn churn_from_store_merged(
     reader: &StoreReader<'_>,
     from: usize,
@@ -453,25 +385,20 @@ pub fn churn_from_store_merged(
 }
 
 /// All domains holding a share of `provider` at one stored epoch, in
-/// ascending name order. On v2 files this decodes the provider's
-/// postings list straight off the index footer; v1 files fall back to
-/// [`domains_of_provider_merged`], a full-epoch scan. Both walk names
-/// in the same byte order, so the vectors are equal.
+/// ascending name order, decoded straight off the provider's postings
+/// list in the index footer.
 pub fn domains_of_provider(
     reader: &StoreReader<'_>,
     provider: &str,
     epoch: usize,
 ) -> Result<Vec<String>, StoreError> {
-    if reader.has_indexes() {
-        reader.domains_of_provider(provider, epoch)
-    } else {
-        domains_of_provider_merged(reader, provider, epoch)
-    }
+    reader.domains_of_provider(provider, epoch)
 }
 
 /// [`domains_of_provider`] via the merge path: scan every resolved row
 /// of the epoch and keep the names whose share list mentions
-/// `provider`. Works on any store version.
+/// `provider`. The reference oracle for [`domains_of_provider`]: both
+/// walk names in the same byte order, so the vectors are equal.
 pub fn domains_of_provider_merged(
     reader: &StoreReader<'_>,
     provider: &str,
@@ -569,51 +496,42 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_paths_agree() {
+    fn index_and_merged_paths_agree() {
         let (study, pipeline, companies) = setup();
-        let v2 = study
+        let bytes = study
             .write_store(Dataset::Alexa, &pipeline, &companies)
             .unwrap();
-        let v1 = write_study_store_v1(&study, Dataset::Alexa, &pipeline, &companies).unwrap();
-        let r2 = StoreReader::open(&v2).unwrap();
-        let r1 = StoreReader::open(&v1).unwrap();
-        assert!(r2.has_indexes());
-        assert!(!r1.has_indexes());
-        r2.verify_indexes().unwrap();
+        let reader = StoreReader::open(&bytes).unwrap();
+        reader.verify_indexes().unwrap();
 
-        // Dispatch (index-backed on r2, merged on r1) and the explicit
-        // merge path all agree bit for bit.
+        // The index-backed entry points and the explicit merge path
+        // agree bit for bit.
         let psl = PublicSuffixList::builtin();
         for epoch in [0usize, 4, 8] {
-            let m2 = market_share_at(&r2, epoch).unwrap();
-            let m1 = market_share_at(&r1, epoch).unwrap();
-            let mm = market_share_merged(&r2, epoch).unwrap();
-            assert_eq!(m2.rows, m1.rows);
-            assert_eq!(m2.rows, mm.rows);
-            assert_eq!(m2.total_domains, mm.total_domains);
+            let mi = market_share_at(&reader, epoch).unwrap();
+            let mm = market_share_merged(&reader, epoch).unwrap();
+            assert_eq!(mi.rows, mm.rows);
+            assert_eq!(mi.total_domains, mm.total_domains);
             assert_eq!(
-                self_hosted_at(&r2, epoch, &psl).unwrap(),
-                self_hosted_merged(&r2, epoch, &psl).unwrap()
+                self_hosted_at(&reader, epoch, &psl).unwrap(),
+                self_hosted_merged(&reader, epoch, &psl).unwrap()
             );
-            assert_eq!(top100_at(&r2, epoch).unwrap(), top100_at(&r1, epoch).unwrap());
         }
-        let c2 = churn_from_store(&r2, 0, 8).unwrap();
-        let cm = churn_from_store_merged(&r2, 0, 8).unwrap();
-        assert_eq!(c2.total, cm.total);
-        assert_eq!(c2.flows, cm.flows);
+        let ci = churn_from_store(&reader, 0, 8).unwrap();
+        let cm = churn_from_store_merged(&reader, 0, 8).unwrap();
+        assert_eq!(ci.total, cm.total);
+        assert_eq!(ci.flows, cm.flows);
 
-        let provider = r2
+        let provider = reader
             .providers()
             .iter()
-            .find(|p| !r2.domains_of_provider(p, 8).unwrap().is_empty())
+            .find(|p| !reader.domains_of_provider(p, 8).unwrap().is_empty())
             .copied()
             .expect("some provider has postings at epoch 8");
-        let d2 = domains_of_provider(&r2, provider, 8).unwrap();
-        let dm = domains_of_provider_merged(&r2, provider, 8).unwrap();
-        let d1 = domains_of_provider(&r1, provider, 8).unwrap();
-        assert!(!d2.is_empty(), "postings list non-empty for {provider}");
-        assert_eq!(d2, dm);
-        assert_eq!(d2, d1);
+        let di = domains_of_provider(&reader, provider, 8).unwrap();
+        let dm = domains_of_provider_merged(&reader, provider, 8).unwrap();
+        assert!(!di.is_empty(), "postings list non-empty for {provider}");
+        assert_eq!(di, dm);
     }
 
     #[test]

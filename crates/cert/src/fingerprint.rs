@@ -22,6 +22,19 @@ pub fn fnv1a(data: &[u8]) -> u64 {
     h
 }
 
+/// Keyed hash: FNV-1a over `seed` (big-endian) followed by each part
+/// and a NUL terminator. The house primitive for deriving deterministic
+/// per-entity choices from a seed and a name.
+pub fn h64(seed: u64, parts: &[&str]) -> u64 {
+    let mut key = Vec::new();
+    key.extend_from_slice(&seed.to_be_bytes());
+    for p in parts {
+        key.extend_from_slice(p.as_bytes());
+        key.push(0);
+    }
+    fnv1a(&key)
+}
+
 /// A 64-bit content fingerprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(pub u64);

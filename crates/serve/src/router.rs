@@ -202,11 +202,10 @@ impl<'a> ServeState<'a> {
     /// server answers it from the serial loop even while saturated.
     pub fn healthz(&self) -> Response {
         let body = format!(
-            "{{\"status\":\"ok\",\"epochs\":{},\"providers\":{},\"companies\":{},\"indexes\":{}}}",
+            "{{\"status\":\"ok\",\"epochs\":{},\"providers\":{},\"companies\":{}}}",
             self.reader.epoch_count(),
             self.reader.providers().len(),
             self.reader.companies().len(),
-            self.reader.has_indexes(),
         );
         Response::ok(body)
     }
@@ -500,11 +499,10 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
 
 /// A strong validator fingerprint for an open store, derived from the
 /// digest sections: epoch count, labels, kinds and entry counts, plus
-/// every digest record `(doc, flags, credit)` when the store carries
-/// indexes. Two stores that answer any cacheable endpoint differently
-/// differ in some digest record (the digest mirrors the resolved
-/// rows), so their etags differ; appending an epoch always changes the
-/// fingerprint.
+/// every digest record `(doc, flags, credit)`. Two stores that answer
+/// any cacheable endpoint differently differ in some digest record (the
+/// digest mirrors the resolved rows), so their etags differ; appending
+/// an epoch always changes the fingerprint.
 pub fn store_etag(reader: &StoreReader<'_>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let epochs = reader.epoch_count();
@@ -513,16 +511,11 @@ pub fn store_etag(reader: &StoreReader<'_>) -> u64 {
         fnv(&mut h, reader.label(epoch).unwrap_or("").as_bytes());
         fnv(&mut h, &[0, matches!(reader.epoch_kind(epoch), Some(mx_store::EpochKind::Base)) as u8]);
         fnv(&mut h, &reader.entry_count(epoch).unwrap_or(0).to_be_bytes());
-        match reader.digest_rows(epoch) {
-            Err(_) => fnv(&mut h, b"\0noindex"),
-            Ok(rows) => {
-                for row in rows {
-                    fnv(&mut h, &(row.doc as u64).to_be_bytes());
-                    fnv(&mut h, &[row.has_smtp as u8, row.self_hosted as u8]);
-                    fnv(&mut h, row.credit.unwrap_or("").as_bytes());
-                    fnv(&mut h, &[0]);
-                }
-            }
+        for row in reader.digest_rows(epoch).into_iter().flatten() {
+            fnv(&mut h, &(row.doc as u64).to_be_bytes());
+            fnv(&mut h, &[row.has_smtp as u8, row.self_hosted as u8]);
+            fnv(&mut h, row.credit.unwrap_or("").as_bytes());
+            fnv(&mut h, &[0]);
         }
     }
     h
@@ -641,7 +634,6 @@ fn parse_usize(s: &str) -> Option<usize> {
 fn store_error(e: &StoreError) -> Response {
     match e {
         StoreError::EpochOutOfRange { .. } => Response::error(404, "unknown epoch"),
-        StoreError::NoIndex => Response::error(500, "store missing index"),
         _ => Response::error(500, "store error"),
     }
 }

@@ -155,12 +155,16 @@ fn multibyte_reply_lines_do_not_panic() {
 // store bytes field by field so each corruption targets one invariant.
 
 mod store_bytes {
-    use mx_store::format::{write_str, MAGIC};
+    use mx_acq::AcquisitionReport;
+    use mx_store::format::{write_str, MAGIC, RESTART_INTERVAL};
     use mx_store::varint::write_u64;
+    use mx_store::{RowIn, ShareIn, ShareSource, StoreWriter};
 
-    /// Knobs for one hand-assembled single-epoch store file. Builds the
-    /// `mx-store/1` layout (no restart-interval byte, no index footer);
-    /// the v2-specific sections get their own builder below.
+    /// Knobs for one hand-assembled single-epoch `mx-store/2` file.
+    /// Every knob targets the header or the epoch layers, which open
+    /// validates before the index footer; the footer is always the
+    /// valid one for the default row (see [`footer`]), and the footer
+    /// sections get their own builder below.
     pub struct Spec {
         pub magic: [u8; 4],
         pub version: u16,
@@ -178,7 +182,7 @@ mod store_bytes {
         pub entry_count_bytes: Option<Vec<u8>>,
         /// Sidecar body (defaults to zero IPs, zero domains).
         pub sidecar: Vec<u8>,
-        /// Junk appended after the last epoch.
+        /// Junk appended after the index footer.
         pub trailing: Vec<u8>,
     }
 
@@ -186,8 +190,8 @@ mod store_bytes {
         fn default() -> Self {
             Spec {
                 magic: *MAGIC,
-                version: mx_store::VERSION_V1,
-                schema: mx_store::SCHEMA_V1,
+                version: mx_store::VERSION,
+                schema: mx_store::SCHEMA,
                 provider_company: 0,
                 share_provider: 0,
                 share_source: 0,
@@ -206,13 +210,51 @@ mod store_bytes {
 
     /// Assemble the bytes: header, one provider (`p.test`), no
     /// companies, one base epoch of `spec.entries` rows (one share
-    /// each), the given sidecar, then any trailing junk.
+    /// each), the given sidecar, the index footer, then any trailing
+    /// junk.
     pub fn build(spec: Spec) -> Vec<u8> {
+        let mut out = layers(&spec);
+        out.extend_from_slice(&footer());
+        out.extend_from_slice(&spec.trailing);
+        out
+    }
+
+    /// The index footer `StoreWriter` emits for the default row
+    /// (`a.test` → `p.test`, weight 1.0, certificate, SMTP): its file
+    /// minus the header and epoch layers, which must match the
+    /// hand-assembled ones byte for byte.
+    fn footer() -> Vec<u8> {
+        let mut w = StoreWriter::new();
+        let row = RowIn {
+            name: "a.test".to_string(),
+            has_smtp: true,
+            self_hosted: false,
+            shares: vec![ShareIn {
+                provider: "p.test".to_string(),
+                company: None,
+                weight: 1.0,
+                source: ShareSource::Certificate,
+            }],
+        };
+        w.add_epoch("2021-06", vec![row], &AcquisitionReport::default())
+            .expect("writer accepts the default row");
+        let file = w.finish();
+        let layers = layers(&Spec::default());
+        assert!(
+            file.starts_with(&layers),
+            "hand-assembled layers diverge from the writer's"
+        );
+        file[layers.len()..].to_vec()
+    }
+
+    /// The header and the epoch layers, without the footer.
+    fn layers(spec: &Spec) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&spec.magic);
         out.extend_from_slice(&spec.version.to_le_bytes());
         out.extend_from_slice(&0u16.to_le_bytes());
         write_str(&mut out, spec.schema);
+        out.push(u8::try_from(RESTART_INTERVAL).expect("interval fits the header byte"));
 
         write_u64(&mut out, 1); // provider table
         write_str(&mut out, "p.test");
@@ -245,7 +287,6 @@ mod store_bytes {
 
         write_u64(&mut out, spec.sidecar.len() as u64);
         out.extend_from_slice(&spec.sidecar);
-        out.extend_from_slice(&spec.trailing);
         out
     }
 }
@@ -265,8 +306,9 @@ fn hand_assembled_store_opens() {
     assert_eq!(row.shares().next().unwrap().provider, "p.test");
 }
 
-/// Bad magic, unknown version and a wrong schema string each produce
-/// their own typed error, not a generic failure.
+/// Bad magic, unknown versions (the retired `mx-store/1` included) and
+/// a wrong schema string each produce their own typed error, not a
+/// generic failure.
 #[test]
 fn store_header_corruption_is_typed() {
     let bad_magic = build(Spec {
@@ -275,14 +317,16 @@ fn store_header_corruption_is_typed() {
     });
     assert_eq!(StoreReader::open(&bad_magic).unwrap_err(), StoreError::BadMagic);
 
-    let bad_version = build(Spec {
-        version: 9,
-        ..Spec::default()
-    });
-    assert_eq!(
-        StoreReader::open(&bad_version).unwrap_err(),
-        StoreError::UnsupportedVersion(9)
-    );
+    for version in [9, 1] {
+        let bad_version = build(Spec {
+            version,
+            ..Spec::default()
+        });
+        assert_eq!(
+            StoreReader::open(&bad_version).unwrap_err(),
+            StoreError::UnsupportedVersion(version)
+        );
+    }
 
     let bad_schema = build(Spec {
         schema: "mx-store/999",
@@ -579,13 +623,12 @@ mod store_bytes_v2 {
 
 use store_bytes_v2::{build_v2, SpecV2};
 
-/// The hand-assembled v2 baseline opens, carries indexes, and its
-/// footer agrees with the epoch layers under full recomputation.
+/// The hand-assembled v2 baseline opens and its footer agrees with
+/// the epoch layers under full recomputation.
 #[test]
 fn hand_assembled_v2_store_opens_and_verifies() {
     let bytes = build_v2(SpecV2::default());
     let reader = StoreReader::open(&bytes).expect("v2 baseline opens");
-    assert!(reader.has_indexes());
     reader.verify_indexes().expect("footer matches layers");
     assert_eq!(
         reader.domains_of_provider("p.test", 0).unwrap(),
