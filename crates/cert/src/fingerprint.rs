@@ -8,31 +8,21 @@
 
 use std::fmt;
 
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub use mx_obs::trace::Fnv1a;
 
 /// FNV-1a over a byte slice.
 pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    Fnv1a::new().feed(data).digest64()
 }
 
 /// Keyed hash: FNV-1a over `seed` (big-endian) followed by each part
 /// and a NUL terminator. The house primitive for deriving deterministic
 /// per-entity choices from a seed and a name.
 pub fn h64(seed: u64, parts: &[&str]) -> u64 {
-    let mut key = Vec::new();
-    key.extend_from_slice(&seed.to_be_bytes());
-    for p in parts {
-        key.extend_from_slice(p.as_bytes());
-        key.push(0);
-    }
-    fnv1a(&key)
+    parts
+        .iter()
+        .fold(Fnv1a::new().feed_u64(seed), |h, p| h.feed(p.as_bytes()).feed(&[0]))
+        .digest64()
 }
 
 /// A 64-bit content fingerprint.
@@ -47,12 +37,7 @@ impl Fingerprint {
 
     /// Combine with more data (chained hashing).
     pub fn chain(self, data: &[u8]) -> Fingerprint {
-        let mut h = self.0;
-        for &b in data {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        Fingerprint(h)
+        Fingerprint(Fnv1a::resume(self.0).feed(data).digest64())
     }
 }
 

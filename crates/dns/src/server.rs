@@ -49,13 +49,15 @@ impl Authority {
     /// The closest enclosing zone for `name`, if any.
     pub fn find_zone(&self, name: &Name) -> Option<&Zone> {
         // Walk from the name towards the root, first hit wins (most
-        // specific zone).
-        let mut n = Some(name.clone());
-        while let Some(current) = n {
-            if let Some(z) = self.zones.get(&current) {
+        // specific zone). Each ancestor is probed through one reused
+        // buffer.
+        let mut probe = Name::root();
+        let root_at = name.wire_len() - 1;
+        for off in name.suffix_offsets().chain(std::iter::once(root_at)) {
+            Name::set_to_suffix_of(&mut probe, name, off);
+            if let Some(z) = self.zones.get(&probe) {
                 return Some(z);
             }
-            n = current.parent();
         }
         None
     }

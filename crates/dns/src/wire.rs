@@ -1,11 +1,10 @@
 //! DNS wire-format primitives: a cursor-based reader and writer with RFC
 //! 1035 §4.1.4 name compression on both paths.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use crate::name::{Name, NameError, MAX_LABEL_LEN};
+use crate::name::{push_label, Name, NameError, MAX_LABEL_LEN};
 
 /// Hard cap on a DNS message we will produce or accept. Generous enough for
 /// any simulated response while still bounding memory.
@@ -66,8 +65,12 @@ impl From<NameError> for WireError {
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
-    /// Suffix (as dotted string) -> offset of its first occurrence.
-    compress: HashMap<String, u16>,
+    /// Wire forms of the names whose suffixes are registered below.
+    suffixes: Vec<u8>,
+    /// Registered name suffixes: `suffixes[start..end]` was first
+    /// written at message offset `off`. Messages hold a handful of
+    /// names, so a linear scan beats hashing each suffix.
+    compress: Vec<(usize, usize, u16)>,
 }
 
 impl WireWriter {
@@ -141,24 +144,18 @@ impl WireWriter {
         self.put_bytes(b)
     }
 
-    /// One length-prefixed label. `Name` guarantees labels fit in 63
-    /// bytes, but the invariant is re-checked rather than assumed.
-    fn put_label(&mut self, label: &str) -> Result<(), WireError> {
-        let len = u8::try_from(label.len())
-            .ok()
-            .filter(|&l| usize::from(l) <= MAX_LABEL_LEN)
-            .ok_or_else(|| WireError::BadName(NameError::LabelTooLong(label.to_string())))?;
-        self.put_u8(len)?;
-        self.put_bytes(label.as_bytes())
-    }
-
     /// Encode a name, emitting a compression pointer to the longest
     /// already-encoded suffix when possible and registering new suffixes.
     pub fn put_name(&mut self, name: &Name) -> Result<(), WireError> {
-        let mut rest: &[String] = name.labels();
-        while let Some((label, tail)) = rest.split_first() {
-            let suffix = rest.join(".");
-            if let Some(&off) = self.compress.get(&suffix) {
+        let wire = name.wire_bytes();
+        let mut registered = false;
+        let mut pos = 0;
+        while let Some(&len) = wire.get(pos) {
+            let suffix = wire.get(pos..).unwrap_or_default();
+            let hit = self.compress.iter().find(|&&(start, end, _)| {
+                self.suffixes.get(start..end) == Some(suffix)
+            });
+            if let Some(&(_, _, off)) = hit {
                 // Pointers must fit in 14 bits; only offsets < 0x4000 are
                 // ever inserted below.
                 self.put_u16(0xC000 | off)?;
@@ -166,11 +163,20 @@ impl WireWriter {
             }
             if let Ok(here) = u16::try_from(self.buf.len()) {
                 if here < 0x4000 {
-                    self.compress.insert(suffix, here);
+                    if !registered {
+                        // One copy of the name's wire form backs every
+                        // suffix registered from it.
+                        self.suffixes.extend_from_slice(wire);
+                        registered = true;
+                    }
+                    let end = self.suffixes.len();
+                    let start = end.saturating_sub(wire.len()).saturating_add(pos);
+                    self.compress.push((start, end, here));
                 }
             }
-            self.put_label(label)?;
-            rest = tail;
+            let next = pos.checked_add(usize::from(len) + 1).ok_or(WireError::Truncated)?;
+            self.put_bytes(wire.get(pos..next).ok_or(WireError::Truncated)?)?;
+            pos = next;
         }
         self.put_u8(0) // root label
     }
@@ -179,9 +185,7 @@ impl WireWriter {
     /// implementations choke on pointers; our SOA/MX use compression, which
     /// RFC 1035 permits for well-known types, but TXT-like blobs must not).
     pub fn put_name_uncompressed(&mut self, name: &Name) -> Result<(), WireError> {
-        for label in name.labels() {
-            self.put_label(label)?;
-        }
+        self.put_bytes(name.wire_bytes())?;
         self.put_u8(0)
     }
 
@@ -287,9 +291,13 @@ impl<'a> WireReader<'a> {
     }
 
     /// Decode a possibly-compressed name starting at the cursor. Pointers
-    /// must point strictly backwards, which also bounds the loop.
+    /// must point strictly backwards, which also bounds the loop. Labels
+    /// are lower-cased straight into the name's wire buffer; bytes that
+    /// are not UTF-8 become U+FFFD, and a label that grows past
+    /// [`MAX_LABEL_LEN`] bytes that way is rejected.
     pub fn get_name(&mut self) -> Result<Name, WireError> {
-        let mut labels: Vec<String> = Vec::new();
+        let mut wire = String::new();
+        let mut labels = 0usize;
         let mut pos = self.pos;
         let mut jumped = false;
         let mut end_pos = self.pos; // cursor after the in-line part
@@ -306,16 +314,16 @@ impl<'a> WireReader<'a> {
                         break;
                     }
                     let end = pos
-                        .checked_add(len as usize)
+                        .checked_add(usize::from(len))
                         .ok_or(WireError::Truncated)?;
                     let b = self.data.get(pos..end).ok_or(WireError::Truncated)?;
                     pos = end;
                     if !jumped {
                         end_pos = pos;
                     }
-                    let label = String::from_utf8_lossy(b).to_ascii_lowercase();
-                    labels.push(label);
-                    if labels.len() > 128 {
+                    push_wire_label(&mut wire, b)?;
+                    labels += 1;
+                    if labels > 128 {
                         return Err(WireError::BadName(NameError::NameTooLong));
                     }
                 }
@@ -324,7 +332,7 @@ impl<'a> WireReader<'a> {
                     if !jumped {
                         end_pos = pos + 2;
                     }
-                    let target = (((len & 0x3F) as usize) << 8) | b2 as usize;
+                    let target = (usize::from(len & 0x3F) << 8) | usize::from(b2);
                     if target >= min_ptr || target >= pos {
                         return Err(WireError::BadPointer);
                     }
@@ -336,8 +344,18 @@ impl<'a> WireReader<'a> {
             }
         }
         self.pos = end_pos;
-        Name::from_labels(labels).map_err(WireError::from)
+        Name::from_wire(wire).map_err(WireError::from)
     }
+}
+
+/// Append one decoded label to a name's wire buffer, lower-cased.
+fn push_wire_label(wire: &mut String, bytes: &[u8]) -> Result<(), WireError> {
+    let label = String::from_utf8_lossy(bytes);
+    if label.len() > MAX_LABEL_LEN {
+        return Err(WireError::BadName(NameError::LabelTooLong(label.to_ascii_lowercase())));
+    }
+    push_label(wire, &label);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -166,37 +166,30 @@ impl Zone {
             .is_some()
     }
 
-    /// Find the closest delegation point strictly between origin and name.
+    /// Find the closest delegation point strictly below the origin, at
+    /// or above `name`. Ancestors are probed top-down through one reused
+    /// buffer.
     fn delegation_for(&self, name: &Name) -> Option<Vec<Record>> {
-        // Walk ancestors of `name` from just below origin down to name.
-        let mut cut: Option<Vec<Record>> = None;
-        let mut current = name.clone();
-        let mut chain = Vec::new();
-        while current != self.origin {
-            chain.push(current.clone());
-            current = current.parent()?;
-        }
-        // chain is name..=child-of-origin; check top-down.
-        for n in chain.iter().rev() {
-            if let Some(rs) = self.records.get(n) {
+        let origin_at = name.suffix_offset(&self.origin)?;
+        let below_origin: Vec<usize> = name
+            .suffix_offsets()
+            .take_while(|&off| off < origin_at)
+            .collect();
+        let mut probe = Name::root();
+        for &off in below_origin.iter().rev() {
+            Name::set_to_suffix_of(&mut probe, name, off);
+            if let Some(rs) = self.records.get(&probe) {
                 let ns: Vec<Record> = rs
                     .iter()
                     .filter(|r| r.rtype() == RecordType::Ns)
                     .cloned()
                     .collect();
-                if !ns.is_empty() && n != name {
-                    cut = Some(ns);
-                    break;
-                }
-                if !ns.is_empty() && n == name {
-                    // NS at the queried name itself: also a referral unless
-                    // it's the origin (handled by loop bound).
-                    cut = Some(ns);
-                    break;
+                if !ns.is_empty() {
+                    return Some(ns);
                 }
             }
         }
-        cut
+        None
     }
 
     /// Look up (name, rtype) per RFC 1034 §4.3.2.

@@ -21,7 +21,8 @@
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
-use mx_cert::fnv1a;
+use mx_cert::{fnv1a, Fnv1a};
+use mx_dns::Name;
 
 /// A fault injected on the DNS authority path as seen by the stub
 /// resolver's transport.
@@ -185,15 +186,17 @@ impl FaultPlan {
         (fnv1a(&key) >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Deterministic uniform draw in [0,1) for a string-keyed event
-    /// (DNS names on the authority path).
-    fn coin_str(&self, name: &str, epoch: u64, salt: u64) -> f64 {
-        let mut key = Vec::with_capacity(name.len() + 24);
-        key.extend_from_slice(name.as_bytes());
-        key.extend_from_slice(&epoch.to_be_bytes());
-        key.extend_from_slice(&self.seed.to_be_bytes());
-        key.extend_from_slice(&salt.to_be_bytes());
-        (fnv1a(&key) >> 11) as f64 / (1u64 << 53) as f64
+    /// Deterministic uniform draw in [0,1) for a name-keyed event (DNS
+    /// names on the authority path): FNV-1a over the dotted name, then
+    /// epoch, seed and salt (big-endian), streamed without building the
+    /// key.
+    fn coin_str(&self, name: &Name, epoch: u64, salt: u64) -> f64 {
+        let h = Fnv1a::of_display(name)
+            .feed_u64(epoch)
+            .feed_u64(self.seed)
+            .feed_u64(salt)
+            .digest64();
+        (h >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Is this IP excluded from scanning entirely?
@@ -241,7 +244,7 @@ impl FaultPlan {
     /// Which DNS fault, if any, hits the query for `qname` in round
     /// `epoch` on transport attempt `attempt`? One coin partitioned
     /// across the variants: at most one fault per attempt.
-    pub fn dns_fault(&self, qname: &str, epoch: u64, attempt: u32) -> Option<DnsFault> {
+    pub fn dns_fault(&self, qname: &Name, epoch: u64, attempt: u32) -> Option<DnsFault> {
         if self.dns.total() <= 0.0 {
             return None;
         }
@@ -564,6 +567,27 @@ mod tests {
         );
     }
 
+    /// The streamed name coin equals the former keyed hash over the
+    /// assembled `dotted ‖ epoch ‖ seed ‖ salt` buffer.
+    #[test]
+    fn name_coins_equal_the_assembled_key_hash() {
+        let p = FaultPlan {
+            seed: 0x5EED,
+            ..FaultPlan::none()
+        };
+        for n in ["example.com", "MX1.Provider.COM.", "a.b.c.d.e", "_dmarc.x.org", "."] {
+            let name = Name::parse(n).unwrap();
+            for (epoch, salt) in [(0u64, 0u64), (17_700, attempt_salt(0xD0D0_D115, 2))] {
+                let mut key = name.to_string().into_bytes();
+                key.extend_from_slice(&epoch.to_be_bytes());
+                key.extend_from_slice(&p.seed.to_be_bytes());
+                key.extend_from_slice(&salt.to_be_bytes());
+                let old = (fnv1a(&key) >> 11) as f64 / (1u64 << 53) as f64;
+                assert_eq!(p.coin_str(&name, epoch, salt).to_bits(), old.to_bits(), "{n}");
+            }
+        }
+    }
+
     #[test]
     fn dns_fault_partition_and_determinism() {
         let p = FaultPlan {
@@ -577,7 +601,7 @@ mod tests {
         };
         let mut counts = HashMap::new();
         for i in 0..3000 {
-            let name = format!("mx{i}.example.com");
+            let name = Name::parse(&format!("mx{i}.example.com")).unwrap();
             let f = p.dns_fault(&name, 0, 0);
             assert_eq!(f, p.dns_fault(&name, 0, 0), "non-deterministic draw");
             *counts.entry(f).or_insert(0usize) += 1;
@@ -590,7 +614,7 @@ mod tests {
         let clean = counts.get(&None).copied().unwrap_or(0);
         assert!((1000..1400).contains(&clean), "clean: {clean}");
         // Quiet plan never faults.
-        assert_eq!(FaultPlan::none().dns_fault("a.example", 0, 0), None);
+        assert_eq!(FaultPlan::none().dns_fault(&mx_dns::dns_name!("a.example"), 0, 0), None);
     }
 
     #[test]

@@ -161,7 +161,7 @@ impl Transport for SimNet {
         // reproducible and retries draw independent coins.
         if let Some(q) = query.question() {
             let day = self.clock.now().secs() / 86_400;
-            match self.faults.dns_fault(&q.name.to_string(), day, attempt) {
+            match self.faults.dns_fault(&q.name, day, attempt) {
                 Some(DnsFault::Timeout) => {
                     return Err(ResolveError::Network(format!(
                         "query for {} timed out",

@@ -228,16 +228,72 @@ pub fn reset_all() {
     }
 }
 
+/// Streaming 64-bit FNV-1a: the workspace's one FNV implementation
+/// (`mx_cert::fingerprint` re-exports it for `fnv1a`/`h64`). Feeding
+/// bytes in pieces hashes exactly like feeding their concatenation, so
+/// keys never need to be assembled into a buffer first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// A hasher at the offset basis.
+    pub fn new() -> Self {
+        Fnv1a(Self::OFFSET)
+    }
+
+    /// Resume from an earlier [`Fnv1a::digest64`] value (chained hashing).
+    pub fn resume(state: u64) -> Self {
+        Fnv1a(state)
+    }
+
+    /// Feed bytes.
+    pub fn feed(mut self, data: &[u8]) -> Self {
+        for &b in data {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+        self
+    }
+
+    /// Feed a `u64` as its 8 big-endian bytes.
+    pub fn feed_u64(self, v: u64) -> Self {
+        self.feed(&v.to_be_bytes())
+    }
+
+    /// A hasher fed with `value`'s `Display` output, streamed piece by
+    /// piece (no intermediate `String`).
+    pub fn of_display(value: &impl std::fmt::Display) -> Self {
+        use std::fmt::Write as _;
+        let mut h = Self::new();
+        // Writing into the hasher cannot fail.
+        let _ = write!(h, "{value}");
+        h
+    }
+
+    /// The hash of everything fed so far.
+    pub fn digest64(self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        *self = self.feed(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Mask keeping a content tag within 48 bits.
+pub const TAG_MASK: u64 = 0x0000_ffff_ffff_ffff;
+
 /// A 48-bit FNV-1a content tag for event args: a pure function of the
 /// bytes, masked so the value round-trips exactly through an `f64`
 /// JSON number.
 pub fn tag64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h & 0x0000_ffff_ffff_ffff
+    Fnv1a::new().feed(bytes).digest64() & TAG_MASK
 }
 
 /// A merged view of every ring: the canonical event multiset plus the

@@ -66,6 +66,9 @@ cargo run --quiet --release -p mx-bench --bin bench_pipeline -- --store --store-
 cmp /tmp/mx_store_a.bin /tmp/mx_store_b.bin
 rm -f /tmp/mx_store_a.bin /tmp/mx_store_b.bin
 
+echo "==> golden digests (tests/golden_digest.rs: study store files match the committed cross-revision digests)"
+cargo test --release --test golden_digest -q
+
 echo "==> serve gate (tests/serve_gate.rs: byte-identical replay at 1/2/8 threads + chaos sweep at rates 0/0.1/0.3)"
 cargo test --release --test serve_gate -q
 

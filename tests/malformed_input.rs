@@ -95,6 +95,33 @@ fn oversized_labels_rejected_on_wire_and_in_text() {
     assert!(Name::parse(&format!("{}.com", "x".repeat(63))).is_ok());
 }
 
+/// Non-UTF-8 label bytes decode lossily (each becomes U+FFFD, three
+/// bytes), so a 63-byte label of `0xFF` would grow to 189 bytes: the
+/// decoder must reject it rather than build a `Name` that breaks the
+/// 63-byte label invariant and then fails to re-encode.
+#[test]
+fn lossy_label_growth_past_63_bytes_rejected() {
+    let mut bytes = vec![63u8];
+    bytes.extend(std::iter::repeat(0xFF).take(63));
+    bytes.extend_from_slice(&[3, b'c', b'o', b'm', 0]);
+    let mut r = WireReader::new(&bytes);
+    match r.get_name() {
+        Err(WireError::BadName(NameError::LabelTooLong(label))) => {
+            assert_eq!(label.len(), 189);
+        }
+        other => panic!("expected LabelTooLong, got {other:?}"),
+    }
+
+    // A lossy label that still fits decodes and re-encodes losslessly.
+    let short = [2u8, 0xFF, b'A', 3, b'c', b'o', b'm', 0];
+    let name = WireReader::new(&short).get_name().expect("fits in 63 bytes");
+    assert_eq!(name.first_label(), Some("\u{FFFD}a"));
+    let mut w = mx_dns::WireWriter::new();
+    w.put_name(&name).expect("re-encodes");
+    let again = WireReader::new(&w.into_bytes()).get_name().expect("decodes");
+    assert_eq!(again, name);
+}
+
 /// A name assembled from max-length labels that exceeds 255 wire bytes
 /// total is rejected even though each label is individually valid.
 #[test]
