@@ -155,13 +155,8 @@ pub fn market_share_merged(
 ///
 /// Counts the digest's precomputed SMTP+self-hosted bits: the writer
 /// ran the PSL check at encode time with the builtin list, the same one
-/// every analysis path uses, so `_psl` goes unused. It keeps the
-/// signature of [`self_hosted_merged`].
-pub fn self_hosted_at(
-    reader: &StoreReader<'_>,
-    epoch: usize,
-    _psl: &PublicSuffixList,
-) -> Result<usize, StoreError> {
+/// every analysis path uses, so no list is needed here.
+pub fn self_hosted_at(reader: &StoreReader<'_>, epoch: usize) -> Result<usize, StoreError> {
     Ok(reader
         .digest_rows(epoch)?
         .filter(|d| d.has_smtp && d.self_hosted)
@@ -203,7 +198,6 @@ pub fn series_from_store(
     dataset: Dataset,
     tracked: &[&str],
 ) -> Result<LongitudinalSeries, StoreError> {
-    let psl = PublicSuffixList::builtin();
     let mut series: Vec<(String, Vec<SeriesPoint>)> = tracked
         .iter()
         .map(|c| (c.to_string(), Vec::new()))
@@ -230,7 +224,7 @@ pub fn series_from_store(
                 share: row.map(|r| r.share).unwrap_or(0.0),
             });
         }
-        let sh = self_hosted_at(reader, epoch, &psl)?;
+        let sh = self_hosted_at(reader, epoch)?;
         self_hosted.push(SeriesPoint {
             date: date.clone(),
             weight: sh as f64,
@@ -459,7 +453,7 @@ mod tests {
         let obs = data.dataset(Dataset::Alexa).unwrap();
         let result = pipeline.run(obs);
         assert_eq!(
-            self_hosted_at(&reader, 0, &psl).unwrap(),
+            self_hosted_at(&reader, 0).unwrap(),
             crate::market::self_hosted_count(&result, &psl)
         );
     }
@@ -513,7 +507,7 @@ mod tests {
             assert_eq!(mi.rows, mm.rows);
             assert_eq!(mi.total_domains, mm.total_domains);
             assert_eq!(
-                self_hosted_at(&reader, epoch, &psl).unwrap(),
+                self_hosted_at(&reader, epoch).unwrap(),
                 self_hosted_merged(&reader, epoch, &psl).unwrap()
             );
         }

@@ -303,9 +303,10 @@ fn metrics_mode(metrics_out: Option<&str>) -> i32 {
             );
             return 1;
         }
+        let bytes = intro.bytes();
         match &reference {
-            None => reference = Some(intro.bytes.clone()),
-            Some(base) if *base != intro.bytes => {
+            None => reference = Some(bytes.clone()),
+            Some(base) if *base != bytes => {
                 eprintln!(
                     "bench_pipeline: FAIL — introspection bytes diverge at width {width}"
                 );
@@ -315,7 +316,7 @@ fn metrics_mode(metrics_out: Option<&str>) -> i32 {
         }
         eprintln!(
             "  threads={width}: {} introspection bytes, identical=true",
-            intro.bytes.len()
+            bytes.len()
         );
     }
     mx_obs::set_trace_enabled(false);

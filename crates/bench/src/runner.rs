@@ -22,8 +22,11 @@ pub fn scale_from_env() -> ScenarioConfig {
 /// A study plus memoised per-snapshot measurement and inference results,
 /// so experiment binaries that share snapshots do not recompute them.
 pub struct ExperimentCtx {
+    /// The generated study every snapshot is materialized from.
     pub study: Study,
+    /// Provider knowledge the inference pipelines run with.
     pub knowledge: ProviderKnowledge,
+    /// Provider-to-company map for the company-level analyses.
     pub companies: CompanyMap,
     snapshots: HashMap<usize, (World, SnapshotData)>,
     results: HashMap<(usize, Dataset), InferenceResult>,

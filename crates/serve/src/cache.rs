@@ -12,6 +12,7 @@
 //! `deterministic` scope to keep host-clock and hash-order reads out.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Capacity of the hot-row tier (rendered lookup rows).
 pub const MAX_ROW_CACHE: usize = 512;
@@ -48,17 +49,19 @@ impl<V: Clone> Lru<V> {
         self.map.is_empty()
     }
 
-    /// Look up `key`, refreshing its recency on a hit.
+    /// Look up `key`, refreshing its recency on a hit. The value is
+    /// cloned out, so a tier holding `Arc`s hands out shared bodies.
     pub fn get(&mut self, key: &str) -> Option<V> {
         let tick = self.next_tick();
         match self.map.get_mut(key) {
             None => None,
             Some((at, v)) => {
-                self.order.remove(at);
+                // Move the key's own `String` to the new tick: a hit
+                // allocates nothing.
+                let owned = self.order.remove(at).unwrap_or_else(|| key.to_string());
                 *at = tick;
-                let value = v.clone();
-                self.order.insert(tick, key.to_string());
-                Some(value)
+                self.order.insert(tick, owned);
+                Some(v.clone())
             }
         }
     }
@@ -93,8 +96,9 @@ impl<V: Clone> Lru<V> {
 pub type RowCache = Lru<String>;
 
 /// The rendered-body tier: whole JSON response bodies keyed by the
-/// normalized request target.
-pub type JsonCache = Lru<Vec<u8>>;
+/// normalized request target. Bodies are shared with the responses
+/// that write them, so a hit or an insert is a refcount bump.
+pub type JsonCache = Lru<Arc<[u8]>>;
 
 /// Both cache tiers plus hit/miss accounting, owned by the server's
 /// serial loop.

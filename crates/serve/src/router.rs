@@ -13,6 +13,7 @@ use crate::http::{Method, Request};
 use crate::render::{json_arr, json_f64, json_str, Response};
 use mx_analysis::churn::ChurnCategory;
 use mx_analysis::store::{churn_from_store, domains_of_provider, market_share_at};
+use mx_obs::trace::Fnv1a;
 use mx_store::{StoreError, StoreReader};
 
 /// Maximum domains rendered in a `/providers/{p}/domains` answer; the
@@ -487,16 +488,6 @@ fn debug_attribution() -> Response {
     Response::ok(mx_obs::attrib::Attribution::capture().deterministic_json())
 }
 
-/// FNV-1a step over a byte run, the same construction the rest of the
-/// codebase uses for content addressing.
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(PRIME);
-    }
-}
-
 /// A strong validator fingerprint for an open store, derived from the
 /// digest sections: epoch count, labels, kinds and entry counts, plus
 /// every digest record `(doc, flags, credit)`. Two stores that answer
@@ -504,21 +495,23 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
 /// digest mirrors the resolved rows), so their etags differ; appending
 /// an epoch always changes the fingerprint.
 pub fn store_etag(reader: &StoreReader<'_>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
     let epochs = reader.epoch_count();
-    fnv(&mut h, &(epochs as u64).to_be_bytes());
+    let mut h = Fnv1a::new().feed_u64(epochs as u64);
     for epoch in 0..epochs {
-        fnv(&mut h, reader.label(epoch).unwrap_or("").as_bytes());
-        fnv(&mut h, &[0, matches!(reader.epoch_kind(epoch), Some(mx_store::EpochKind::Base)) as u8]);
-        fnv(&mut h, &reader.entry_count(epoch).unwrap_or(0).to_be_bytes());
+        let base = matches!(reader.epoch_kind(epoch), Some(mx_store::EpochKind::Base));
+        h = h
+            .feed(reader.label(epoch).unwrap_or("").as_bytes())
+            .feed(&[0, base as u8])
+            .feed(&reader.entry_count(epoch).unwrap_or(0).to_be_bytes());
         for row in reader.digest_rows(epoch).into_iter().flatten() {
-            fnv(&mut h, &(row.doc as u64).to_be_bytes());
-            fnv(&mut h, &[row.has_smtp as u8, row.self_hosted as u8]);
-            fnv(&mut h, row.credit.unwrap_or("").as_bytes());
-            fnv(&mut h, &[0]);
+            h = h
+                .feed_u64(row.doc as u64)
+                .feed(&[row.has_smtp as u8, row.self_hosted as u8])
+                .feed(row.credit.unwrap_or("").as_bytes())
+                .feed(&[0]);
         }
     }
-    h
+    h.digest64()
 }
 
 /// Build the `/lookup` response from a rendered row fragment — the one

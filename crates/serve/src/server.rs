@@ -46,7 +46,7 @@ use crate::render::Response;
 use crate::router::{
     cacheable, head_only, json_cache_key, lookup_response, row_cache_probe, Endpoint, ServeState,
 };
-use crate::transport::{CloseReason, ConnTranscript, Trace};
+use crate::transport::{CloseReason, ConnTranscript, Part, Trace};
 use crate::{Clock, SimMs};
 use mx_obs::names;
 use mx_store::StoreReader;
@@ -124,9 +124,9 @@ impl RunReport {
     /// All response bytes of all connections, in connection order —
     /// the byte-identity surface the replay gate compares.
     pub fn all_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.transcripts.iter().map(ConnTranscript::len).sum());
         for t in &self.transcripts {
-            out.extend_from_slice(&t.bytes);
+            t.write_to(&mut out);
         }
         out
     }
@@ -149,12 +149,13 @@ struct Conn {
     seqs: u64,
     /// Next sequence to flush to the transcript.
     next_out: u64,
-    /// Responses waiting on earlier sequences: seq -> (bytes, status,
+    /// Responses waiting on earlier sequences: seq -> (part, status,
     /// close reason after flushing, if any).
-    pending_out: BTreeMap<u64, (Vec<u8>, u16, Option<CloseReason>)>,
+    pending_out: BTreeMap<u64, (Part, u16, Option<CloseReason>)>,
     /// Jobs dispatched and not yet completed.
     in_flight: usize,
-    out_bytes: Vec<u8>,
+    /// Flushed responses, in write order.
+    parts: Vec<Part>,
     statuses: Vec<u16>,
 }
 
@@ -172,7 +173,7 @@ impl Conn {
             next_out: 0,
             pending_out: BTreeMap::new(),
             in_flight: 0,
-            out_bytes: Vec::new(),
+            parts: Vec::new(),
             statuses: Vec::new(),
         }
     }
@@ -389,7 +390,7 @@ impl<'s, 'a> Engine<'s, 'a> {
             let close = conn.closed.unwrap_or(CloseReason::Drained);
             self.report.transcripts.push(ConnTranscript {
                 id: conn.id,
-                bytes: std::mem::take(&mut conn.out_bytes),
+                parts: std::mem::take(&mut conn.parts),
                 statuses: std::mem::take(&mut conn.statuses),
                 close,
             });
@@ -415,9 +416,8 @@ impl<'s, 'a> Engine<'s, 'a> {
                 mx_obs::counter!(names::SERVE_CONNS_REFUSED).incr();
                 self.report.conns_refused += 1;
                 let resp = Response::shed(self.srv.cfg.retry_after_secs);
-                let body = resp.encode(false, false);
                 let Some(conn) = self.conns.get_mut(ci) else { return };
-                conn.out_bytes.extend_from_slice(&body);
+                conn.parts.push(resp.part(false, false));
                 conn.statuses.push(503);
                 // A refused conn writes its 503 directly (no enqueue),
                 // so mark the write here to keep the trace identity
@@ -763,11 +763,11 @@ impl<'s, 'a> Engine<'s, 'a> {
         if conn.closed.is_some() {
             return;
         }
-        let bytes = resp.encode(head, close.is_none());
-        conn.pending_out.insert(seq, (bytes, resp.status, close));
+        let part = resp.part(head, close.is_none());
+        conn.pending_out.insert(seq, (part, resp.status, close));
         let mut closed_reason = None;
-        while let Some((bytes, status, close)) = conn.pending_out.remove(&conn.next_out) {
-            conn.out_bytes.extend_from_slice(&bytes);
+        while let Some((part, status, close)) = conn.pending_out.remove(&conn.next_out) {
+            conn.parts.push(part);
             conn.statuses.push(status);
             // Mark the actual flush, not the enqueue: a reordered
             // pipelined response's write event fires when its bytes
@@ -796,5 +796,136 @@ impl<'s, 'a> Engine<'s, 'a> {
                 self.open_count = self.open_count.saturating_sub(1);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use super::*;
+    use crate::http::Request;
+    use crate::transport::{ClientConn, Segment};
+    use mx_store::{RowIn, ShareIn, ShareSource, StoreWriter};
+
+    fn store() -> Vec<u8> {
+        let row = |name: &str, provider: &str| RowIn {
+            name: name.into(),
+            has_smtp: true,
+            self_hosted: false,
+            shares: vec![ShareIn {
+                provider: provider.into(),
+                company: Some(format!("{provider}-co")),
+                weight: 1.0,
+                source: ShareSource::MxRecord,
+            }],
+        };
+        let acq = mx_acq::AcquisitionReport::default();
+        let mut w = StoreWriter::new();
+        let first = vec![row("a.test", "google"), row("b.test", "ms")];
+        w.add_epoch("2017-06", first, &acq).unwrap();
+        let second = vec![row("a.test", "ms"), row("c.test", "yandex")];
+        w.add_epoch("2017-12", second, &acq).unwrap();
+        w.finish()
+    }
+
+    fn conn(id: u64, bursts: &[(u64, &str)]) -> ClientConn {
+        ClientConn {
+            id,
+            opened_at_ms: bursts.first().map_or(0, |b| b.0),
+            segments: bursts
+                .iter()
+                .map(|(at_ms, raw)| Segment {
+                    at_ms: *at_ms,
+                    bytes: raw.as_bytes().to_vec(),
+                })
+                .collect(),
+        }
+    }
+
+    fn parse(raw: &str) -> Request {
+        let mut p = RequestParser::new();
+        p.push(raw.as_bytes()).unwrap();
+        match p.try_next().unwrap() {
+            Parsed::Request(req) => req,
+            Parsed::NeedMore => panic!("incomplete request {raw:?}"),
+        }
+    }
+
+    /// The bytes a request gets when rendered on its own.
+    fn encoded(state: &ServeState<'_>, raw: &str) -> Vec<u8> {
+        let req = parse(raw);
+        state
+            .handle(&req)
+            .response
+            .encode(head_only(&req), req.keep_alive)
+    }
+
+    const MARKET: &str = "GET /market?epoch=0 HTTP/1.1\r\n\r\n";
+    const CHURN: &str = "GET /churn?from=0&to=1 HTTP/1.1\r\n\r\n";
+    const HEAD_MARKET_CLOSE: &str = "HEAD /market?epoch=0 HTTP/1.1\r\nConnection: close\r\n\r\n";
+
+    #[test]
+    fn market_hits_share_the_cached_body() {
+        let bytes = store();
+        let reader = StoreReader::open(&bytes).unwrap();
+        let trace = Trace::new().with(conn(0, &[(0, MARKET), (20, MARKET), (40, MARKET)]));
+        let report = Server::new(&reader, ServerConfig::default()).run(&trace);
+        let t = report.transcripts.first().unwrap();
+        assert_eq!(t.statuses, [200, 200, 200]);
+        let bodies: Vec<&Arc<[u8]>> = t.parts.iter().filter_map(|p| p.body.as_ref()).collect();
+        assert_eq!(bodies.len(), 3);
+        // The miss and both hits write one allocation: zero copies.
+        assert!(bodies.windows(2).all(|w| Arc::ptr_eq(w[0], w[1])));
+    }
+
+    #[test]
+    fn pipelined_hit_flushes_after_the_in_flight_miss() {
+        let bytes = store();
+        let reader = StoreReader::open(&bytes).unwrap();
+        let state = ServeState::new(&reader);
+        let burst = format!("{CHURN}{MARKET}{HEAD_MARKET_CLOSE}");
+        let trace = Trace::new()
+            .with(conn(0, &[(0, MARKET)]))
+            .with(conn(1, &[(20, &burst)]));
+        let report = Server::new(&reader, ServerConfig::default()).run(&trace);
+        let warm = report.transcripts.first().unwrap();
+        let t = report.transcripts.get(1).unwrap();
+        // The churn miss is in flight until 30 ms; the two hits are
+        // ready at 20 ms and wait for it.
+        assert_eq!(t.statuses, [200, 200, 200]);
+        assert_eq!(t.close, CloseReason::ClientDone);
+        let want = [CHURN, MARKET, HEAD_MARKET_CLOSE]
+            .map(|raw| encoded(&state, raw))
+            .concat();
+        assert_eq!(t.bytes(), want);
+        assert_eq!(t.len(), want.len());
+        // The GET hit shares the body the first connection rendered;
+        // the HEAD answer is a head-only part.
+        let cached = warm.parts.first().and_then(|p| p.body.as_ref()).unwrap();
+        let hit = t.parts.get(1).and_then(|p| p.body.as_ref()).unwrap();
+        assert!(Arc::ptr_eq(cached, hit));
+        assert_eq!(t.parts.get(2).map(|p| p.body.is_none()), Some(true));
+        assert_eq!(report.all_bytes(), [warm.bytes(), t.bytes()].concat());
+    }
+
+    #[test]
+    fn refused_connection_writes_one_shed_response() {
+        let bytes = store();
+        let reader = StoreReader::open(&bytes).unwrap();
+        let cfg = ServerConfig {
+            max_conns: 1,
+            ..ServerConfig::default()
+        };
+        let trace = Trace::new()
+            .with(conn(0, &[(0, MARKET)]))
+            .with(conn(1, &[(1, MARKET)]));
+        let report = Server::new(&reader, cfg).run(&trace);
+        assert_eq!(report.conns_refused, 1);
+        let t = report.transcripts.get(1).unwrap();
+        assert_eq!(t.statuses, [503]);
+        assert_eq!(t.close, CloseReason::Refused);
+        let shed = Response::shed(cfg.retry_after_secs);
+        assert_eq!(t.bytes(), shed.encode(false, false));
     }
 }

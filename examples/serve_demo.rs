@@ -94,13 +94,14 @@ fn print_report(report: &RunReport) {
             t.id,
             t.statuses,
             t.close,
-            t.bytes.len()
+            t.len()
         );
         // Show each response's status line for the well-behaved conn
         // (a head can directly follow the previous body, so scan for
         // the version marker rather than splitting on newlines).
         if t.id == 0 {
-            let text = String::from_utf8_lossy(&t.bytes);
+            let bytes = t.bytes();
+            let text = String::from_utf8_lossy(&bytes);
             for (at, _) in text.match_indices("HTTP/1.1 ") {
                 let line = text[at..].lines().next().unwrap_or_default();
                 println!("  {line}");

@@ -252,7 +252,7 @@ fn chaos_sweep(reader: &StoreReader, seed: u64) -> usize {
                 Some(ConnFault::Dribble) => {
                     fired += 1;
                     assert_eq!(
-                        tc.bytes, tb.bytes,
+                        tc.bytes(), tb.bytes(),
                         "seed {seed} rate {rate}: dribbled conn {} bytes",
                         tc.id
                     );
@@ -334,17 +334,17 @@ fn saturation(reader: &StoreReader, seed: u64) {
         vec![200],
         "seed {seed}: /healthz must answer while saturated"
     );
-    assert!(contains(&health.bytes, b"\"epochs\""), "seed {seed}");
+    assert!(contains(&health.bytes(), b"\"epochs\""), "seed {seed}");
     let shed = rep
         .transcripts
         .iter()
         .find(|t| t.statuses.contains(&503))
         .expect("a shed transcript");
     assert!(
-        contains(&shed.bytes, b"Retry-After: 1"),
+        contains(&shed.bytes(), b"Retry-After: 1"),
         "seed {seed}: shed response must advertise Retry-After"
     );
-    assert!(contains(&shed.bytes, b"overloaded"), "seed {seed}");
+    assert!(contains(&shed.bytes(), b"overloaded"), "seed {seed}");
 }
 
 /// A trace engineered so all four request outcomes are nonzero under a
@@ -510,10 +510,10 @@ fn conditional_requests() {
     // the cache-hit 200 must be byte-identical to the miss, and the
     // healthz answer stays unconditional and tagless.
     let header = format!("ETag: {tag}\r\n");
-    assert_eq!(count(&c0.bytes, header.as_bytes()), 6, "conn 0 etags");
-    assert_eq!(count(&c1.bytes, header.as_bytes()), 3, "conn 1 etags");
-    assert!(contains(&c0.bytes, b"304 Not Modified\r\n"));
-    assert!(contains(&c1.bytes, b"\"status\":\"ok\""), "healthz served in full");
+    assert_eq!(count(&c0.bytes(), header.as_bytes()), 6, "conn 0 etags");
+    assert_eq!(count(&c1.bytes(), header.as_bytes()), 3, "conn 1 etags");
+    assert!(contains(&c0.bytes(), b"304 Not Modified\r\n"));
+    assert!(contains(&c1.bytes(), b"\"status\":\"ok\""), "healthz served in full");
 
     // Appending delta epochs rewrites the digest sections: the etag
     // changes and the old validator stops revalidating.
@@ -534,8 +534,8 @@ fn conditional_requests() {
     let c = rep2.transcripts.first().expect("grown conn");
     assert_eq!(c.statuses, vec![200, 304], "after-append etag change");
     let header2 = format!("ETag: {tag2}\r\n");
-    assert_eq!(count(&c.bytes, header2.as_bytes()), 2, "grown etags");
-    assert!(!contains(&c.bytes, header.as_bytes()), "old etag gone");
+    assert_eq!(count(&c.bytes(), header2.as_bytes()), 2, "grown etags");
+    assert!(!contains(&c.bytes(), header.as_bytes()), "old etag gone");
 }
 
 fn get_close_inm(target: &str, tag: &str) -> String {

@@ -177,7 +177,7 @@ fn assert_round_trip(seed: u64) {
         assert_eq!(indexed.total_domains, merged.total_domains, "seed {seed} epoch {k}");
         assert_eq!(indexed.rows, merged.rows, "seed {seed} epoch {k}: index vs merge");
         assert_eq!(
-            self_hosted_at(&reader, k, &psl).expect("indexed self-hosted"),
+            self_hosted_at(&reader, k).expect("indexed self-hosted"),
             self_hosted_merged(&reader, k, &psl).expect("merged self-hosted"),
             "seed {seed} epoch {k}: self-hosted count"
         );
